@@ -115,7 +115,11 @@ func TestRunWritesFile(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nope"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("bad flag accepted")
+	// -partitions selected the retired partitioned event drive.
+	for _, flag := range []string{"-nope", "-partitions=2"} {
+		err := run([]string{flag}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: err = %v, want the unknown-flag error", flag, err)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (s *SCMP) hierJoin(member topology.NodeID, g packet.GroupID) {
 	lm := s.localHome(member)
 	res := gs.hier.Join(member)
 	if res.Restructured {
-		s.net.NoteRestructure(lm)
+		s.net.Metrics.OnRestructure()
 	}
 	s.syncMRouterEntry(g, gs)
 	if res.Restructured || s.cfg.DisableBranch {

@@ -42,7 +42,7 @@ func (s *SCMP) admitJoin(home topology.NodeID, g packet.GroupID, member topology
 	if s.cfg.AdmitLimit <= 0 || s.service.backlog() < s.cfg.AdmitLimit {
 		return true
 	}
-	s.net.NoteShed(home)
+	s.net.Metrics.OnShed()
 	if seq == 0 {
 		return false
 	}
@@ -94,7 +94,7 @@ func (s *SCMP) handleNack(node topology.NodeID, pkt *netsim.Packet) {
 // the next step of the backoff ladder it left.
 func (s *SCMP) park(key pendingKey, p *pendingReq) {
 	s.unpark(key)
-	s.net.NotePark(s.noteNode(key))
+	s.net.Metrics.OnPark()
 	wait := des.Time(s.cfg.RefreshInterval)
 	if wait <= 0 {
 		wait = des.Time(s.cfg.AckTimeout * float64(uint64(1)<<uint(p.attempt+1)))
@@ -122,7 +122,7 @@ func (s *SCMP) lateAck(key pendingKey, a packet.AckInfo) {
 		return
 	}
 	s.unpark(key)
-	s.net.NoteParkRecover(s.noteNode(key))
+	s.net.Metrics.OnParkRecover()
 	if pk.kind == packet.Replicate {
 		s.flushAckQueue(key.g)
 	}

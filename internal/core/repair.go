@@ -40,15 +40,6 @@ const replSlot topology.NodeID = -2
 // stream (primary → standby snapshots).
 func replKey(g packet.GroupID) pendingKey { return pendingKey{node: replSlot, g: g} }
 
-// noteNode maps a slot to the node its park/recover metrics are charged
-// to: the requester, or the primary for the synthetic replication slot.
-func (s *SCMP) noteNode(key pendingKey) topology.NodeID {
-	if key.node >= 0 {
-		return key.node
-	}
-	return s.homes[0]
-}
-
 // pendingReq is one unacknowledged reliable request. fromPark marks a
 // parked request's deferred re-attempt, so its eventual ACK can be
 // counted as a park recovery.
@@ -293,7 +284,7 @@ func (s *SCMP) handleAck(node topology.NodeID, pkt *netsim.Packet) {
 		p.timer.Cancel()
 	}
 	if p.fromPark {
-		s.net.NoteParkRecover(s.noteNode(key))
+		s.net.Metrics.OnParkRecover()
 	}
 	delete(s.pending, key)
 	if p.kind == packet.Replicate {
@@ -331,7 +322,7 @@ func (s *SCMP) refreshGroup(g packet.GroupID, gs *groupState) {
 		// interval, so the distribution that accompanied the change
 		// already reconverged any diverged router — this tick would be
 		// a redundant TREE storm. Skip it but keep the timer alive.
-		s.net.NoteRefreshSkip(s.home(g))
+		s.net.Metrics.OnRefreshSkip()
 		s.armRefresh(g, gs)
 		return
 	}

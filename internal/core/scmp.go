@@ -12,6 +12,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -247,10 +248,8 @@ type SCMP struct {
 	// branch tests). Built in Attach from Config.Domains.
 	view *topology.DomainView
 	// entries is indexed by node id (allocated in Attach once the
-	// topology size is known). Dense indexing keeps per-node entry
-	// access disjoint: under a partitioned drive concurrent windows
-	// touch only their own partition's slots, and a slice read of a
-	// foreign slot is never a map-structure race.
+	// topology size is known): a dense slice lookup on the per-packet
+	// path instead of a map probe keyed by router.
 	entries []map[packet.GroupID]*entry
 	// replica is the standby's copy of the membership database, fed by
 	// REPLICATE packets from the primary.
@@ -283,18 +282,54 @@ type SCMP struct {
 var _ netsim.Protocol = (*SCMP)(nil)
 
 // New returns an SCMP instance; attach it by passing it to netsim.New.
+// It panics on a configuration Validate rejects.
 func New(cfg Config) *SCMP {
+	cfg, homes, err := cfg.resolve()
+	if err != nil {
+		panic(err)
+	}
+	return &SCMP{
+		cfg:      cfg,
+		homes:    homes,
+		groups:   make(map[packet.GroupID]*groupState),
+		replica:  make(map[packet.GroupID]map[topology.NodeID]bool),
+		pending:  make(map[pendingKey]*pendingReq),
+		parked:   make(map[pendingKey]*parkedReq),
+		ctlSeen:  make(map[pendingKey]uint64),
+		replSeen: make(map[packet.GroupID]uint64),
+	}
+}
+
+// Validate reports the first rule the configuration breaks on a
+// topology of nodes routers, or nil when New and Attach accept it. New
+// and Attach enforce the same rules by panicking; callers handling
+// user input (the scenario DSL) check here first. Rules that need the
+// graph itself — a domain labelling whose domains are disconnected —
+// are still found only by Attach.
+func (cfg Config) Validate(nodes int) error {
+	cfg, homes, err := cfg.resolve()
+	if err != nil {
+		return err
+	}
+	return cfg.checkNodes(homes, nodes)
+}
+
+// resolve applies the documented defaults (Kappa 0 means 1, a
+// non-positive Standby disables the standby), checks every rule that
+// does not depend on the topology, and returns the normalised
+// configuration with its m-router list.
+func (cfg Config) resolve() (Config, []topology.NodeID, error) {
 	if cfg.Kappa == 0 {
 		cfg.Kappa = 1
 	}
 	if cfg.Kappa < 1 {
-		panic(fmt.Sprintf("core: Kappa %g < 1", cfg.Kappa))
+		return cfg, nil, fmt.Errorf("core: Kappa %g < 1", cfg.Kappa)
 	}
 	if cfg.Standby <= 0 {
 		cfg.Standby = -1 // disabled
 	}
 	if (len(cfg.Domains) == 0) != (len(cfg.DomainMRouters) == 0) {
-		panic("core: Domains and DomainMRouters must be set together")
+		return cfg, nil, errors.New("core: Domains and DomainMRouters must be set together")
 	}
 	if len(cfg.DomainMRouters) == 1 {
 		// A single-domain hierarchical configuration IS the flat
@@ -310,52 +345,61 @@ func New(cfg Config) *SCMP {
 		homes = append([]topology.NodeID(nil), cfg.MRouters...)
 		cfg.MRouter = homes[0]
 		if cfg.Standby >= 0 {
-			panic("core: hot standby requires single-m-router mode")
+			return cfg, nil, errors.New("core: hot standby requires single-m-router mode")
 		}
 		seen := map[topology.NodeID]bool{}
 		for _, h := range homes {
 			if seen[h] {
-				panic(fmt.Sprintf("core: duplicate m-router %d", h))
+				return cfg, nil, fmt.Errorf("core: duplicate m-router %d", h)
 			}
 			seen[h] = true
 		}
 	}
 	if len(cfg.DomainMRouters) > 0 {
 		if len(cfg.MRouters) > 0 {
-			panic("core: hierarchical mode and MRouters are mutually exclusive")
+			return cfg, nil, errors.New("core: hierarchical mode and MRouters are mutually exclusive")
 		}
 		if cfg.Standby >= 0 {
-			panic("core: hierarchical mode does not support a hot standby")
+			return cfg, nil, errors.New("core: hierarchical mode does not support a hot standby")
 		}
 		if cfg.AckTimeout > 0 || cfg.RetryBudget > 0 || cfg.AdmitLimit > 0 {
-			panic("core: hierarchical mode does not support reliable-signalling/overload knobs")
+			return cfg, nil, errors.New("core: hierarchical mode does not support reliable-signalling/overload knobs")
 		}
 		if cfg.ServiceTime > 0 {
-			panic("core: hierarchical mode does not support service-time modelling (per-domain service centres are future work)")
+			return cfg, nil, errors.New("core: hierarchical mode does not support service-time modelling (per-domain service centres are future work)")
 		}
 		homes = append([]topology.NodeID(nil), cfg.DomainMRouters...)
 		cfg.MRouter = homes[0]
 		seen := map[topology.NodeID]bool{}
 		for _, h := range homes {
 			if seen[h] {
-				panic(fmt.Sprintf("core: duplicate domain m-router %d", h))
+				return cfg, nil, fmt.Errorf("core: duplicate domain m-router %d", h)
 			}
 			seen[h] = true
 		}
 	}
 	if cfg.Standby == cfg.MRouter {
-		panic("core: standby must differ from the primary m-router")
+		return cfg, nil, errors.New("core: standby must differ from the primary m-router")
 	}
-	return &SCMP{
-		cfg:      cfg,
-		homes:    homes,
-		groups:   make(map[packet.GroupID]*groupState),
-		replica:  make(map[packet.GroupID]map[topology.NodeID]bool),
-		pending:  make(map[pendingKey]*pendingReq),
-		parked:   make(map[pendingKey]*parkedReq),
-		ctlSeen:  make(map[pendingKey]uint64),
-		replSeen: make(map[packet.GroupID]uint64),
+	return cfg, homes, nil
+}
+
+// checkNodes checks the rules of a resolved configuration that depend
+// on the topology size: every m-router and the standby name a router,
+// and a domain labelling covers every node.
+func (cfg Config) checkNodes(homes []topology.NodeID, nodes int) error {
+	for _, h := range homes {
+		if h < 0 || int(h) >= nodes {
+			return fmt.Errorf("core: m-router %d out of range", h)
+		}
 	}
+	if cfg.Standby >= 0 && int(cfg.Standby) >= nodes {
+		return fmt.Errorf("core: standby %d out of range", cfg.Standby)
+	}
+	if len(cfg.DomainMRouters) > 0 && len(cfg.Domains) != nodes {
+		return fmt.Errorf("core: %d domain labels for %d nodes", len(cfg.Domains), nodes)
+	}
+	return nil
 }
 
 // home returns the m-router serving group g: the published static
@@ -383,19 +427,11 @@ func (s *SCMP) Attach(n *netsim.Network) {
 	if s.net != nil {
 		panic("core: SCMP attached twice")
 	}
-	for _, h := range s.homes {
-		if h < 0 || int(h) >= n.G.N() {
-			panic(fmt.Sprintf("core: m-router %d out of range", h))
-		}
-	}
-	if s.cfg.Standby >= 0 && int(s.cfg.Standby) >= n.G.N() {
-		panic(fmt.Sprintf("core: standby %d out of range", s.cfg.Standby))
+	if err := s.cfg.checkNodes(s.homes, n.G.N()); err != nil {
+		panic(err)
 	}
 	s.net = n
 	if len(s.cfg.DomainMRouters) > 0 {
-		if len(s.cfg.Domains) != n.G.N() {
-			panic(fmt.Sprintf("core: %d domain labels for %d nodes", len(s.cfg.Domains), n.G.N()))
-		}
 		view, err := topology.NewDomainView(n.G, s.cfg.Domains)
 		if err != nil {
 			panic("core: " + err.Error())
@@ -679,7 +715,7 @@ func (s *SCMP) mrouterJoin(member topology.NodeID, g packet.GroupID) {
 	}
 	res := gs.dcdm.Join(member)
 	if res.Restructured {
-		s.net.NoteRestructure(s.home(g))
+		s.net.Metrics.OnRestructure()
 	}
 	s.syncMRouterEntry(g, gs)
 	if res.AlreadyOn {
@@ -1024,27 +1060,6 @@ func (s *SCMP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 // adopt the sender as upstream, replace the downstream set with the
 // packet's children, split the packet and forward one subpacket per
 // child. Downstream routers absent from the new subtree are flushed.
-// ParallelWindowSafe implements netsim.ParallelSafe: the dispatch-order
-// sensitive features — multiple m-routers or a hot standby (shared
-// group/replica maps written from several homes), the service centre
-// queue, reliable signalling timers, and soft-state refresh — all
-// serialise through shared protocol state that a windowed drive would
-// interleave nondeterministically, so a configuration using any of
-// them falls back to the serial scheduler. The plain fig-8/fig-9
-// forwarding workload (one m-router, fire-and-forget control) keeps
-// all cross-partition interaction on the simulated wire and is safe.
-func (s *SCMP) ParallelWindowSafe() bool {
-	return s.view == nil && // hierarchical mode: one composer, many homes
-		len(s.homes) == 1 &&
-		s.cfg.Standby < 0 &&
-		s.cfg.AckTimeout <= 0 &&
-		s.cfg.RefreshInterval <= 0 &&
-		s.cfg.ServiceTime <= 0 &&
-		s.cfg.AdmitLimit <= 0 &&
-		s.cfg.RetryBudget <= 0 &&
-		!s.cfg.RefreshSuppress
-}
-
 func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 	// Split rather than decode: each child's subtree encoding is
 	// embedded verbatim in the payload, so the forwarded subpackets are
@@ -1052,9 +1067,9 @@ func (s *SCMP) handleTree(node topology.NodeID, pkt *netsim.Packet) {
 	// without materialising the Subtree or allocating new payloads).
 	// SplitSubtree walks the whole payload, so corrupt packets are
 	// dropped here exactly as DecodeSubtree would. The scratch is local
-	// on purpose: TREE distribution is off the data hot path, and a
-	// shared instance-level buffer would be written from concurrent
-	// partition windows.
+	// on purpose: TREE distribution is off the data hot path, so a
+	// per-call slice costs nothing measurable and keeps the handler free
+	// of instance-level buffers.
 	children, err := packet.SplitSubtree(pkt.Payload, nil)
 	if err != nil {
 		return // corrupt packet: drop
@@ -1289,17 +1304,17 @@ func (s *SCMP) forwardOnTree(node topology.NodeID, e *entry, pkt *netsim.Packet,
 func (s *SCMP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	e := s.peekEntry(node, pkt.Group)
 	if e == nil || !e.onTree {
-		s.net.DropData(node)
+		s.net.Metrics.OnDrop(packet.Data)
 		return
 	}
 	fromUpstream := pkt.From == e.upstream
 	fromDownstream := e.downstream[pkt.From]
 	if !fromUpstream && !fromDownstream {
-		s.net.DropData(node)
+		s.net.Metrics.OnDrop(packet.Data)
 		return
 	}
 	if last, seen := e.lastSeq[pkt.Src]; seen && pkt.Seq <= last {
-		s.net.DropData(node) // duplicate: a forwarding cycle is feeding us
+		s.net.Metrics.OnDrop(packet.Data) // duplicate: a forwarding cycle is feeding us
 		return
 	}
 	e.lastSeq[pkt.Src] = pkt.Seq
@@ -1347,7 +1362,7 @@ func (s *SCMP) handleEncap(node topology.NodeID, pkt *netsim.Packet) {
 	}
 	e := s.peekEntry(node, pkt.Group)
 	if e == nil || !e.onTree {
-		s.net.DropData(node)
+		s.net.Metrics.OnDrop(packet.Data)
 		return
 	}
 	data := *pkt

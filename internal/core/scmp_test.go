@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -479,5 +480,43 @@ func BenchmarkSCMPJoinLeaveCycle(b *testing.B) {
 		n.Run()
 		n.HostLeave(v, grp)
 		n.Run()
+	}
+}
+
+// TestConfigValidateMatchesPanics: Validate reports exactly the error
+// New or Attach panics with, and accepts what they accept.
+func TestConfigValidateMatchesPanics(t *testing.T) {
+	g := railGraph()
+	build := func(cfg Config) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		newNet(g, cfg)
+		return ""
+	}
+	for _, cfg := range []Config{
+		{MRouter: 0},
+		{MRouter: 1, Standby: 3, Kappa: 2},
+		{MRouters: []topology.NodeID{0, 4}},
+		{MRouter: 9},
+		{MRouter: 3, Standby: 3},
+		{MRouter: 0, Standby: 5},
+		{Kappa: 0.5},
+		{MRouters: []topology.NodeID{2, 2}},
+		{MRouters: []topology.NodeID{0, 2}, Standby: 3},
+		{Domains: []int{0, 0, 1, 1, 1}},
+		{Domains: []int{0, 1}, DomainMRouters: []topology.NodeID{0, 2}},
+		{Domains: []int{0, 0, 1, 1, 1}, DomainMRouters: []topology.NodeID{0, 2}, AckTimeout: 1},
+	} {
+		err := cfg.Validate(g.N())
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if want := build(cfg); got != want {
+			t.Errorf("%+v: Validate = %q, New/Attach panic = %q", cfg, got, want)
+		}
 	}
 }

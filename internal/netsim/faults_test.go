@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"scmp/internal/des"
@@ -260,5 +261,60 @@ func TestFaultKindString(t *testing.T) {
 	}
 	if FaultKind(99).String() != "FaultKind(99)" {
 		t.Fatal("unknown fault kind name wrong")
+	}
+}
+
+// TestLossIndependentOfOtherTraffic pins the positional loss draws: the
+// n-th crossing of a link meets the same verdict whatever else crosses
+// other links in between. A single sequential loss stream would shift
+// every verdict on link 0->1 by the draws the extra traffic consumed.
+func TestLossIndependentOfOtherTraffic(t *testing.T) {
+	const crossings = 300
+	lostOnX := func(build func(*topology.Graph, Protocol) *Network, extra bool) []uint64 {
+		p := &echoProto{}
+		n := build(lineGraph(4), p)
+		n.InstallFaults(FaultPlan{ControlLoss: 0.3, Seed: 17})
+		other := func(k int) {
+			for j := 0; j < k; j++ {
+				n.SendLink(1, 2, &Packet{Kind: packet.Join, Size: 64})
+				n.SendLink(3, 2, &Packet{Kind: packet.Tree, Size: 64})
+			}
+		}
+		for i := 0; i < crossings; i++ {
+			if extra {
+				other(1 + i%3)
+			}
+			n.SendLink(0, 1, &Packet{Kind: packet.Join, Seq: uint64(i), Size: 64})
+			if extra {
+				other(i % 2)
+			}
+		}
+		n.Run()
+		arrived := make([]bool, crossings)
+		for _, r := range p.got {
+			if r.node == 1 && r.pkt.From == 0 {
+				arrived[r.pkt.Seq] = true
+			}
+		}
+		var lost []uint64
+		for i, ok := range arrived {
+			if !ok {
+				lost = append(lost, uint64(i))
+			}
+		}
+		return lost
+	}
+	for _, path := range []struct {
+		name  string
+		build func(*topology.Graph, Protocol) *Network
+	}{{"fast", New}, {"ref", NewRef}} {
+		quiet := lostOnX(path.build, false)
+		busy := lostOnX(path.build, true)
+		if len(quiet) == 0 || len(quiet) == crossings {
+			t.Fatalf("%s: 30%% loss lost %d of %d crossings", path.name, len(quiet), crossings)
+		}
+		if fmt.Sprint(quiet) != fmt.Sprint(busy) {
+			t.Fatalf("%s: lost crossings of 0->1 depend on other traffic:\nquiet %v\nbusy  %v", path.name, quiet, busy)
+		}
 	}
 }

@@ -270,14 +270,14 @@ func (c *CBT) forwardOnTree(node topology.NodeID, e *entry, pkt *netsim.Packet, 
 
 func (c *CBT) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	if !c.onTree(node, pkt.Group) {
-		c.net.DropData(node)
+		c.net.Metrics.OnDrop(packet.Data)
 		return
 	}
 	e := c.entry(node, pkt.Group)
 	fromUpstream := pkt.From == e.upstream
 	fromDownstream := e.downstream[pkt.From]
 	if !fromUpstream && !fromDownstream {
-		c.net.DropData(node)
+		c.net.Metrics.OnDrop(packet.Data)
 		return
 	}
 	c.forwardOnTree(node, e, pkt, pkt.From)

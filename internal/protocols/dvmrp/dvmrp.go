@@ -173,13 +173,13 @@ func (d *DVMRP) HandlePacket(node topology.NodeID, pkt *netsim.Packet) {
 func (d *DVMRP) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	src := pkt.Src
 	if node == src {
-		d.net.DropData(node)
+		d.net.Metrics.OnDrop(packet.Data)
 		return
 	}
 	if pkt.From != d.rpfNeighbor(node, src) {
 		// Not on the reverse shortest path: the flood copy dies here,
 		// and the useless cross link is pruned so later packets skip it.
-		d.net.DropData(node)
+		d.net.Metrics.OnDrop(packet.Data)
 		d.net.SendLink(node, pkt.From, &netsim.Packet{
 			Kind: packet.DvmrpPrune, Group: pkt.Group, Src: src, Size: packet.ControlSize,
 		})

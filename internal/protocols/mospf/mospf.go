@@ -257,7 +257,7 @@ func (m *MOSPF) SendData(src topology.NodeID, g packet.GroupID, size int, seq ui
 func (m *MOSPF) handleData(node topology.NodeID, pkt *netsim.Packet) {
 	info := m.sourceTree(pkt.Src)
 	if info.parent[node] != pkt.From {
-		m.net.DropData(node) // not this router's place in the source tree
+		m.net.Metrics.OnDrop(packet.Data) // not this router's place in the source tree
 		return
 	}
 	m.fwdCache[cacheKey{node, pkt.Src, pkt.Group}] = true

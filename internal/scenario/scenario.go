@@ -367,7 +367,7 @@ func (st *state) execProtocol(c command) error {
 				return fmt.Errorf("line %d: bad suppress=%q", c.line, v)
 			}
 		}
-		s := core.New(core.Config{
+		cfg := core.Config{
 			MRouter:         topology.NodeID(mrouter),
 			Kappa:           kappa,
 			Standby:         topology.NodeID(standby),
@@ -380,7 +380,11 @@ func (st *state) execProtocol(c command) error {
 			AdmitLimit:      admit,
 			RetryBudget:     retryBudget,
 			RefreshSuppress: suppress,
-		})
+		}
+		if err := cfg.Validate(g.N()); err != nil {
+			return fmt.Errorf("line %d: %v", c.line, err)
+		}
+		s := core.New(cfg)
 		st.scmp = s
 		proto = s
 	case "dvmrp":

@@ -286,3 +286,24 @@ expect delivered
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestSCMPConfigErrorsAreLineErrors: an SCMP configuration core.New
+// would panic on comes back as a line-numbered error instead.
+func TestSCMPConfigErrorsAreLineErrors(t *testing.T) {
+	cases := []struct{ knobs, want string }{
+		{"mrouter=99", "m-router 99 out of range"},
+		{"mrouter=3 standby=3", "standby must differ from the primary m-router"},
+		{"kappa=0.5", "Kappa 0.5 < 1"},
+	}
+	for _, tc := range cases {
+		src := "topology arpanet\nprotocol scmp " + tc.knobs + "\nrun\n"
+		err := parse(t, src).Run(&bytes.Buffer{})
+		if err == nil {
+			t.Errorf("%s: ran", tc.knobs)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "line 2: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q, want line 2 and %q", tc.knobs, msg, tc.want)
+		}
+	}
+}
