@@ -40,17 +40,26 @@ func runCLI(t *testing.T, script string) (code int, stderr string) {
 	return 0, ""
 }
 
+// TestSCMPConfigErrorExitsCleanly: protocol settings the constructors
+// would panic on (SCMP's config rules, CBT's core range) end the command
+// with a line-numbered error, not a stack trace.
 func TestSCMPConfigErrorExitsCleanly(t *testing.T) {
-	for _, knobs := range []string{"mrouter=99", "mrouter=3 standby=3", "kappa=0.5"} {
-		code, stderr := runCLI(t, "topology arpanet\nprotocol scmp "+knobs+"\nrun\n")
+	for _, tc := range []struct{ protocol, want string }{
+		{"scmp mrouter=99", "scenario: line 2: core: "},
+		{"scmp mrouter=3 standby=3", "scenario: line 2: core: "},
+		{"scmp kappa=0.5", "scenario: line 2: core: "},
+		{"cbt core=99", "scenario: line 2: cbt: core 99 out of range"},
+		{"cbt core=-1", "scenario: line 2: cbt: core -1 out of range"},
+	} {
+		code, stderr := runCLI(t, "topology arpanet\nprotocol "+tc.protocol+"\nrun\n")
 		if code == 0 {
-			t.Errorf("%s: exit status 0", knobs)
+			t.Errorf("%s: exit status 0", tc.protocol)
 		}
 		if strings.Contains(stderr, "panic:") || strings.Contains(stderr, "goroutine") {
-			t.Errorf("%s: crashed:\n%s", knobs, stderr)
+			t.Errorf("%s: crashed:\n%s", tc.protocol, stderr)
 		}
-		if !strings.Contains(stderr, "scenario: line 2: core: ") {
-			t.Errorf("%s: stderr %q lacks the line-numbered error", knobs, stderr)
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s: stderr %q lacks %q", tc.protocol, stderr, tc.want)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("scmpsim", flag.ContinueOnError)
-	experimentName := fs.String("experiment", "all", "fig7 | fig7x | fig8 | fig9 | placement | state | concentration | faults | churn | domains | all")
+	experimentName := fs.String("experiment", "all", strings.Join(experimentNames(), " | "))
 	seeds := fs.Int("seeds", 0, "override the number of seeds (0 = paper default)")
 	quick := fs.Bool("quick", false, "shrink the sweep for a fast smoke run")
 	parallel := fs.Int("parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS, 1 = serial)")
@@ -44,6 +45,9 @@ func run(args []string, stdout io.Writer) error {
 	format := fs.String("format", "table", "table | csv")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *seeds < 0 || *parallel < 0 {
+		return fmt.Errorf("-seeds and -parallel must not be negative (got %d and %d)", *seeds, *parallel)
 	}
 	w := stdout
 	if *outPath != "" {

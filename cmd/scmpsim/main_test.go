@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,77 @@ func TestDispatchQuickEachExperiment(t *testing.T) {
 		if buf.Len() == 0 {
 			t.Fatalf("%s: no output", exp)
 		}
+	}
+}
+
+// TestGoldenOutputs renders every -experiment choice, all included, in
+// both formats at -quick -seeds 1, serial and over 4 workers, and
+// compares the bytes with testdata/<name>.<format>.golden. Regenerate a
+// golden only for a deliberate output change, with
+//
+//	go run ./cmd/scmpsim -experiment NAME -quick -seeds 1 -format FORMAT -out cmd/scmpsim/testdata/NAME.FORMAT.golden
+func TestGoldenOutputs(t *testing.T) {
+	for _, name := range experimentNames() {
+		for _, format := range []string{"table", "csv"} {
+			t.Run(name+"/"+format, func(t *testing.T) {
+				want, err := os.ReadFile(filepath.Join("testdata", name+"."+format+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, parallel := range []int{1, 4} {
+					var buf bytes.Buffer
+					opt := quickOpts(name)
+					opt.format, opt.parallel = format, parallel
+					if err := dispatch(&buf, opt); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(buf.Bytes(), want) {
+						t.Errorf("-parallel %d output differs from the golden:\n%s", parallel, buf.Bytes())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAllCSVBlocksParse: -experiment all -format csv separates its
+// tables with blank lines, and each block is a well-formed CSV table.
+func TestAllCSVBlocksParse(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "all.csv.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n\n")
+	if len(blocks) != 6 {
+		t.Fatalf("%d blank-line separated blocks, want 6", len(blocks))
+	}
+	for i, block := range blocks {
+		records, err := csv.NewReader(strings.NewReader(block)).ReadAll()
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if len(records) < 2 {
+			t.Fatalf("block %d: %d records, want a header and rows", i, len(records))
+		}
+	}
+}
+
+// TestAllMatchesResultsFull: the full-size -experiment all output is the
+// committed results_full.txt.
+func TestAllMatchesResultsFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweep")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dispatch(&buf, options{experiment: "all", format: "table"}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("-experiment all differs from results_full.txt:\n%s", buf.Bytes())
 	}
 }
 
@@ -94,8 +166,11 @@ func TestDispatchProgressReporting(t *testing.T) {
 }
 
 func TestDispatchUnknown(t *testing.T) {
-	if err := dispatch(&bytes.Buffer{}, options{experiment: "fig99", quick: true, format: "table"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// fig8/9 is the shared Fig. 8/9 section of all, not a choice.
+	for _, exp := range []string{"fig99", "fig8/9"} {
+		if err := dispatch(&bytes.Buffer{}, options{experiment: exp, quick: true, format: "table"}); err == nil {
+			t.Fatalf("unknown experiment %q accepted", exp)
+		}
 	}
 }
 
@@ -120,6 +195,12 @@ func TestRunBadFlag(t *testing.T) {
 		err := run([]string{flag}, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%s: err = %v, want the unknown-flag error", flag, err)
+		}
+	}
+	for _, args := range [][]string{{"-seeds", "-3"}, {"-parallel", "-5"}} {
+		err := run(append(args, "-experiment", "placement", "-quick"), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Fatalf("%v: err = %v, want the negative-value error", args, err)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"scmp/internal/experiment"
+	"scmp/internal/runner"
 	"scmp/internal/topology"
 )
 
@@ -24,7 +25,7 @@ func TestFig7ParallelMatchesSerial(t *testing.T) {
 		cfg := experiment.Fig7Config{
 			Nodes: 30, Alpha: 0.25, Beta: 0.2,
 			GroupSizes: []int{5, 10}, Seeds: 3,
-			Parallel: parallel,
+			Options: runner.Options{Parallel: parallel},
 		}
 		var buf bytes.Buffer
 		experiment.WriteFig7(&buf, experiment.RunFig7(cfg))
@@ -42,7 +43,7 @@ func TestFig89ParallelMatchesSerial(t *testing.T) {
 			GroupSizes: []int{8}, Seeds: 4, SimTime: 5, DataRate: 1,
 			PruneLifetime: 5,
 			Topologies:    []string{experiment.TopoArpanet, experiment.TopoRand3},
-			Parallel:      parallel,
+			Options:       runner.Options{Parallel: parallel},
 		}
 		var buf bytes.Buffer
 		points := experiment.RunFig89(cfg)
@@ -66,7 +67,7 @@ func TestFaultsParallelMatchesSerial(t *testing.T) {
 			Topologies: []string{experiment.TopoArpanet, experiment.TopoRand3},
 			LossRates:  []float64{0, 0.05},
 			GroupSize:  8, Seeds: 3, SimTime: 10, DataRate: 1,
-			Parallel: parallel,
+			Options: runner.Options{Parallel: parallel},
 		}
 		var buf bytes.Buffer
 		if err := experiment.WriteFaultsCSV(&buf, experiment.RunFaults(cfg)); err != nil {
@@ -131,7 +132,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 		render func(parallel int) []byte
 	}{
 		{"fig7x", func(p int) []byte {
-			cfg := experiment.Fig7xConfig{GroupSize: 8, Seeds: 2, Kappa: 1.5, Parallel: p}
+			cfg := experiment.Fig7xConfig{GroupSize: 8, Seeds: 2, Kappa: 1.5, Options: runner.Options{Parallel: p}}
 			var buf bytes.Buffer
 			if err := experiment.WriteFig7xCSV(&buf, experiment.RunFig7x(cfg)); err != nil {
 				t.Fatal(err)
@@ -139,7 +140,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 			return buf.Bytes()
 		}},
 		{"placement", func(p int) []byte {
-			cfg := experiment.PlacementConfig{Nodes: 40, GroupSize: 10, Seeds: 2, Trials: 3, Kappa: 1.5, Parallel: p}
+			cfg := experiment.PlacementConfig{Nodes: 40, GroupSize: 10, Seeds: 2, Trials: 3, Kappa: 1.5, Options: runner.Options{Parallel: p}}
 			var buf bytes.Buffer
 			if err := experiment.WritePlacementCSV(&buf, experiment.RunPlacement(cfg)); err != nil {
 				t.Fatal(err)
@@ -148,7 +149,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 		}},
 		{"state", func(p int) []byte {
 			cfg := experiment.StateConfig{Nodes: 25, Degree: 3, Groups: []int{1, 2},
-				Members: 4, Senders: 2, PacketsPer: 1, Seeds: 2, Parallel: p}
+				Members: 4, Senders: 2, PacketsPer: 1, Seeds: 2, Options: runner.Options{Parallel: p}}
 			var buf bytes.Buffer
 			if err := experiment.WriteStateCSV(&buf, experiment.RunState(cfg)); err != nil {
 				t.Fatal(err)
@@ -157,7 +158,7 @@ func TestOtherExperimentsParallelMatchSerial(t *testing.T) {
 		}},
 		{"concentration", func(p int) []byte {
 			cfg := experiment.ConcentrationConfig{Nodes: 25, Degree: 3, Groups: 2,
-				Members: 4, Senders: 3, Rounds: 1, Seeds: 2, Parallel: p}
+				Members: 4, Senders: 3, Rounds: 1, Seeds: 2, Options: runner.Options{Parallel: p}}
 			var buf bytes.Buffer
 			if err := experiment.WriteConcentrationCSV(&buf, experiment.RunConcentration(cfg)); err != nil {
 				t.Fatal(err)

@@ -41,9 +41,8 @@ type ChurnConfig struct {
 	Duration   float64   // churn window in seconds
 	Settle     float64   // post-churn settle horizon before the probe
 	Pareto     bool      // heavy-tailed (Pareto) gaps instead of Poisson
-	// Parallel and Progress behave exactly as in Fig89Config.
-	Parallel int
-	Progress func(done, total int)
+	// Options fans the (topology, seed) shards out, as in Fig89Config.
+	runner.Options
 }
 
 // DefaultChurn returns the standard churn-sweep configuration.
@@ -291,29 +290,18 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		loss      float64
 		protected bool
 	}
-	cells := make(map[key]*ChurnPoint)
-	cell := func(topo string, o churnObs) *ChurnPoint {
-		k := key{topo, o.rate, o.loss, o.protected}
-		p := cells[k]
-		if p == nil {
-			p = &ChurnPoint{Topology: topo, Rate: o.rate, Loss: o.loss, Protected: o.protected,
-				MaxBacklog: &stats.Sample{}, Stranded: &stats.Sample{},
-				Sheds: &stats.Sample{}, Parks: &stats.Sample{}, Recovers: &stats.Sample{},
-				Skips: &stats.Sample{}, Rearrange: &stats.Sample{},
-				Drift: &stats.Sample{}, Ctrl: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
-
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) []churnObs {
-		return runChurnShard(cfg, cfg.Topologies[j/cfg.Seeds], j%cfg.Seeds)
+	cs := newCells(func(k key) ChurnPoint {
+		return ChurnPoint{Topology: k.topo, Rate: k.rate, Loss: k.loss, Protected: k.protected,
+			MaxBacklog: &stats.Sample{}, Stranded: &stats.Sample{},
+			Sheds: &stats.Sample{}, Parks: &stats.Sample{}, Recovers: &stats.Sample{},
+			Skips: &stats.Sample{}, Rearrange: &stats.Sample{},
+			Drift: &stats.Sample{}, Ctrl: &stats.Sample{}}
 	})
-	for j, sh := range shards {
-		topo := cfg.Topologies[j/cfg.Seeds]
-		for _, o := range sh {
-			c := cell(topo, o)
+	fanOut(cfg.Options, cfg.Topologies, cfg.Seeds, func(topo string, seed int) []churnObs {
+		return runChurnShard(cfg, topo, seed)
+	}, func(topo string, obs []churnObs) {
+		for _, o := range obs {
+			c := cs.at(key{topo, o.rate, o.loss, o.protected})
 			c.MaxBacklog.Add(float64(o.maxBacklog))
 			c.Stranded.Add(float64(o.stranded))
 			c.Sheds.Add(float64(o.sheds))
@@ -324,16 +312,14 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 			c.Drift.Add(o.drift)
 			c.Ctrl.Add(o.ctrl)
 		}
-	}
+	})
 
-	res := ChurnResult{}
-	for _, p := range cells {
-		res.Points = append(res.Points, *p)
-	}
+	res := ChurnResult{Points: cs.points}
+	topos := Fig89Topologies()
 	sort.Slice(res.Points, func(i, j int) bool {
 		a, b := res.Points[i], res.Points[j]
 		if a.Topology != b.Topology {
-			return topoRank(a.Topology) < topoRank(b.Topology)
+			return rank(topos, a.Topology) < rank(topos, b.Topology)
 		}
 		if a.Rate != b.Rate {
 			return a.Rate < b.Rate
@@ -378,21 +364,19 @@ func WriteChurn(w io.Writer, res ChurnResult) {
 
 // WriteChurnCSV renders the sweep as one CSV table.
 func WriteChurnCSV(w io.Writer, res ChurnResult) error {
-	rows := make([][]string, 0, len(res.Points))
-	for _, p := range res.Points {
-		rows = append(rows, []string{
-			p.Topology, f(p.Rate), f(p.Loss), onOff(p.Protected),
-			f(p.MaxBacklog.Mean()), f(p.MaxBacklog.Max()),
-			f(p.Stranded.Mean()), f(p.Stranded.CI95()),
-			f(p.Sheds.Mean()), f(p.Parks.Mean()), f(p.Recovers.Mean()), f(p.Skips.Mean()),
-			f(p.Rearrange.Mean()), f(p.Drift.Mean()), f(p.Ctrl.Mean()),
-		})
-	}
 	return writeCSV(w, []string{
 		"topology", "rate", "loss", "protected",
 		"max_backlog_mean", "max_backlog_max",
 		"stranded_mean", "stranded_ci95",
 		"sheds_mean", "parks_mean", "recovers_mean", "skips_mean",
 		"rearrange_per_event", "drift_mean", "ctrl_overhead_mean",
-	}, rows)
+	}, res.Points, func(p ChurnPoint) []string {
+		return []string{
+			p.Topology, f(p.Rate), f(p.Loss), onOff(p.Protected),
+			f(p.MaxBacklog.Mean()), f(p.MaxBacklog.Max()),
+			f(p.Stranded.Mean()), f(p.Stranded.CI95()),
+			f(p.Sheds.Mean()), f(p.Parks.Mean()), f(p.Recovers.Mean()), f(p.Skips.Mean()),
+			f(p.Rearrange.Mean()), f(p.Drift.Mean()), f(p.Ctrl.Mean()),
+		}
+	})
 }

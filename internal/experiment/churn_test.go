@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestChurnOverloadProtection is the sweep's acceptance gate. At the top
 // arrival rate under 5% control loss the unprotected control plane must
@@ -39,42 +36,6 @@ func TestChurnOverloadProtection(t *testing.T) {
 		}
 		if raw.sheds != 0 {
 			t.Errorf("seed %d: unprotected arm shed %d JOINs", seed, raw.sheds)
-		}
-	}
-}
-
-// TestChurnTableByteIdentical: the churn report must be byte-identical
-// between a serial run and runner-sharded runs at several worker
-// counts, for both renderers.
-func TestChurnTableByteIdentical(t *testing.T) {
-	render := func(parallel int) ([]byte, []byte) {
-		cfg := DefaultChurn()
-		cfg.Topologies = []string{TopoArpanet, TopoRand3}
-		cfg.Rates = []float64{100, 2000}
-		cfg.LossRates = []float64{0, 0.05}
-		cfg.Seeds = 2
-		cfg.Duration, cfg.Settle = 2, 4
-		cfg.Parallel = parallel
-		res := RunChurn(cfg)
-		var table, csv bytes.Buffer
-		WriteChurn(&table, res)
-		if err := WriteChurnCSV(&csv, res); err != nil {
-			t.Fatalf("parallel=%d: csv: %v", parallel, err)
-		}
-		return table.Bytes(), csv.Bytes()
-	}
-	serialTable, serialCSV := render(1)
-	if len(serialTable) == 0 || len(serialCSV) == 0 {
-		t.Fatal("serial churn sweep rendered nothing")
-	}
-	for _, p := range []int{2, 4, 8} {
-		table, csv := render(p)
-		if !bytes.Equal(serialTable, table) {
-			t.Fatalf("churn table diverges at %d workers:\n--- serial ---\n%s\n--- p=%d ---\n%s",
-				p, serialTable, p, table)
-		}
-		if !bytes.Equal(serialCSV, csv) {
-			t.Fatalf("churn csv diverges at %d workers", p)
 		}
 	}
 }

@@ -29,12 +29,8 @@ type ConcentrationConfig struct {
 	Senders int // off-tree senders per group (their packets funnel into the center)
 	Rounds  int // each sender sends this many packets
 	Seeds   int
-	// Parallel bounds the worker goroutines fanning the per-seed shards
-	// out: 0 means GOMAXPROCS, 1 the pure serial path.
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the per-seed shards out.
+	runner.Options
 }
 
 // DefaultConcentration returns a 50-router configuration.
@@ -58,16 +54,17 @@ var concentrationSchemes = []string{"CBT-1core", "SCMP-1m", "SCMP-2m", "SCMP-4m"
 
 // RunConcentration executes the study.
 func RunConcentration(cfg ConcentrationConfig) []ConcentrationPoint {
-	points := map[string]*ConcentrationPoint{}
+	cs := newCells(func(s string) ConcentrationPoint {
+		return ConcentrationPoint{Scheme: s, CenterLoad: &stats.Sample{}, MaxLink: &stats.Sample{}}
+	})
 	for _, s := range concentrationSchemes {
-		points[s] = &ConcentrationPoint{Scheme: s, CenterLoad: &stats.Sample{}, MaxLink: &stats.Sample{}}
+		cs.at(s) // one point per scheme, in scheme order
 	}
 	type concObs struct {
 		scheme              string
 		centerLoad, maxLink float64
 	}
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []concObs {
+	fanOut(cfg.Options, seedsOnly, cfg.Seeds, func(_ string, seed int) []concObs {
 		// Centers: the best-placed node plus the next-best spread
 		// (deterministic: ranked by average delay), shared via the
 		// artifact cache.
@@ -161,19 +158,14 @@ func RunConcentration(cfg ConcentrationConfig) []ConcentrationPoint {
 			obs = append(obs, concObs{scheme, float64(busiest), float64(maxLink)})
 		}
 		return obs
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			pt := points[o.scheme]
+	}, func(_ string, obs []concObs) {
+		for _, o := range obs {
+			pt := cs.at(o.scheme)
 			pt.CenterLoad.Add(o.centerLoad)
 			pt.MaxLink.Add(o.maxLink)
 		}
-	}
-	out := make([]ConcentrationPoint, 0, len(points))
-	for _, s := range concentrationSchemes {
-		out = append(out, *points[s])
-	}
-	return out
+	})
+	return cs.points
 }
 
 // rankedCenters returns the k nodes with the smallest average

@@ -6,6 +6,7 @@ import (
 
 	"scmp/internal/netsim"
 	"scmp/internal/protocols/dvmrp"
+	"scmp/internal/runner"
 )
 
 // The differential-equivalence gate for the zero-allocation data plane:
@@ -28,7 +29,7 @@ func renderSmokeReports(parallel int) []byte {
 		SimTime:       5,
 		DataRate:      1,
 		PruneLifetime: dvmrp.DefaultPruneLifetime,
-		Parallel:      parallel,
+		Options:       runner.Options{Parallel: parallel},
 	}
 	points := RunFig89(cfg)
 	WriteFig8(&buf, points)
@@ -41,7 +42,7 @@ func renderSmokeReports(parallel int) []byte {
 		Seeds:      2,
 		SimTime:    5,
 		DataRate:   1,
-		Parallel:   parallel,
+		Options:    runner.Options{Parallel: parallel},
 	}
 	WriteFaults(&buf, RunFaults(fcfg))
 	return buf.Bytes()

@@ -27,12 +27,8 @@ type DomainsConfig struct {
 	Members   int     // members joined (then removed) per run
 	Kappa     float64 // DCDM relative delay-bound factor
 	Seeds     int
-	// Parallel bounds the worker goroutines fanning the per-seed shards
-	// out: 0 means GOMAXPROCS, 1 the pure serial path.
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the per-seed shards out.
+	runner.Options
 }
 
 // DomainGrouping selects how the transit-stub hierarchy is folded into
@@ -146,11 +142,17 @@ func DomainLabels(cfg topology.TransitStubConfig, info *topology.TransitStubInfo
 	return labels
 }
 
+// domainsKey identifies one grouping arm: its position in the ladder
+// and its domain count.
+type domainsKey struct {
+	rank, k int
+}
+
 // domainsObs is one (grouping, seed) cell's raw measurements.
 type domainsObs struct {
+	domainsKey
 	grouping string
-	rank     int
-	k, nodes int
+	nodes    int
 	cost     float64
 	maxDelay float64
 	ctrl     float64
@@ -170,8 +172,12 @@ func pathHops(row *topology.Paths, dst topology.NodeID) float64 {
 
 // RunDomains executes the sweep.
 func RunDomains(cfg DomainsConfig) []DomainsPoint {
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []domainsObs {
+	cs := newCells(func(domainsKey) DomainsPoint {
+		return DomainsPoint{TreeCost: &stats.Sample{}, MaxDelay: &stats.Sample{},
+			CtrlHops: &stats.Sample{}, TableBytes: &stats.Sample{},
+			ActiveDomains: &stats.Sample{}}
+	})
+	fanOut(cfg.Options, seedsOnly, cfg.Seeds, func(_ string, seed int) []domainsObs {
 		g, info, err := topology.TransitStub(cfg.Topology, rng.New(int64(seed)+1))
 		if err != nil {
 			panic(fmt.Sprintf("experiment: transit-stub config rejected: %v", err))
@@ -183,7 +189,7 @@ func RunDomains(cfg DomainsConfig) []DomainsPoint {
 			if err != nil {
 				panic(fmt.Sprintf("experiment: grouping %v yields an invalid domain view: %v", grouping, err))
 			}
-			o := domainsObs{grouping: grouping.String(), rank: rank, k: view.K(), nodes: g.N()}
+			o := domainsObs{domainsKey: domainsKey{rank, view.K()}, grouping: grouping.String(), nodes: g.N()}
 			if grouping == GroupFlat {
 				runDomainsFlat(g, view, members, cfg.Kappa, &o)
 			} else {
@@ -192,36 +198,18 @@ func RunDomains(cfg DomainsConfig) []DomainsPoint {
 			obs = append(obs, o)
 		}
 		return obs
-	})
-
-	type key struct {
-		rank int
-		k    int
-	}
-	cells := map[key]*DomainsPoint{}
-	for _, shard := range shards {
-		for _, o := range shard {
-			p := cells[key{o.rank, o.k}]
-			if p == nil {
-				p = &DomainsPoint{Grouping: o.grouping, Domains: o.k, Nodes: o.nodes,
-					TreeCost: &stats.Sample{}, MaxDelay: &stats.Sample{},
-					CtrlHops: &stats.Sample{}, TableBytes: &stats.Sample{},
-					ActiveDomains: &stats.Sample{}}
-				cells[key{o.rank, o.k}] = p
-			}
+	}, func(_ string, obs []domainsObs) {
+		for _, o := range obs {
+			p := cs.at(o.domainsKey)
+			p.Grouping, p.Domains, p.Nodes = o.grouping, o.k, o.nodes // the same every seed
 			p.TreeCost.Add(o.cost)
 			p.MaxDelay.Add(o.maxDelay)
 			p.CtrlHops.Add(o.ctrl)
 			p.TableBytes.Add(o.tableB)
 			p.ActiveDomains.Add(o.active)
 		}
-	}
-	out := make([]DomainsPoint, 0, len(cells))
-	ranks := make(map[*DomainsPoint]int, len(cells))
-	for k, p := range cells {
-		ranks[p] = k.rank
-		out = append(out, *p)
-	}
+	})
+	out := cs.points
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Domains != out[j].Domains {
 			return out[i].Domains < out[j].Domains
@@ -322,21 +310,19 @@ func WriteDomains(w io.Writer, points []DomainsPoint) {
 
 // WriteDomainsCSV renders the sweep as plot-ready records.
 func WriteDomainsCSV(w io.Writer, points []DomainsPoint) error {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Grouping, fmt.Sprint(p.Domains), fmt.Sprint(p.Nodes),
-			f(p.TreeCost.Mean()), f(p.TreeCost.CI95()),
-			f(p.MaxDelay.Mean()), f(p.MaxDelay.CI95()),
-			f(p.CtrlHops.Mean()), f(p.CtrlHops.CI95()),
-			f(p.TableBytes.Mean()), f(p.ActiveDomains.Mean()),
-		})
-	}
 	return writeCSV(w, []string{
 		"grouping", "domains", "nodes",
 		"tree_cost_mean", "tree_cost_ci95",
 		"max_delay_mean", "max_delay_ci95",
 		"ctrl_hops_mean", "ctrl_hops_ci95",
 		"table_bytes_mean", "active_domains_mean",
-	}, rows)
+	}, points, func(p DomainsPoint) []string {
+		return []string{
+			p.Grouping, fmt.Sprint(p.Domains), fmt.Sprint(p.Nodes),
+			f(p.TreeCost.Mean()), f(p.TreeCost.CI95()),
+			f(p.MaxDelay.Mean()), f(p.MaxDelay.CI95()),
+			f(p.CtrlHops.Mean()), f(p.CtrlHops.CI95()),
+			f(p.TableBytes.Mean()), f(p.ActiveDomains.Mean()),
+		}
+	})
 }

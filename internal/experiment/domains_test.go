@@ -133,26 +133,6 @@ func TestDomainsSweepShape(t *testing.T) {
 	}
 }
 
-// TestDomainsParallelDeterminism: the sweep renders the exact same
-// bytes serial and fanned over 4 workers.
-func TestDomainsParallelDeterminism(t *testing.T) {
-	cfg := smallDomains()
-	cfg.Members = 24
-	serial, parallel := cfg, cfg
-	serial.Parallel = 1
-	parallel.Parallel = 4
-	var a, b bytes.Buffer
-	if err := WriteDomainsCSV(&a, RunDomains(serial)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteDomainsCSV(&b, RunDomains(parallel)); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("parallel run diverged from serial:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
 func TestWriteDomains(t *testing.T) {
 	cfg := smallDomains()
 	cfg.Seeds, cfg.Members = 1, 16

@@ -40,9 +40,8 @@ type FaultsConfig struct {
 	Seeds      int       // placements / loss streams per point
 	SimTime    float64   // run horizon in seconds; loss ends at SimTime/2
 	DataRate   float64   // in-window data packets per second
-	// Parallel and Progress behave exactly as in Fig89Config.
-	Parallel int
-	Progress func(done, total int)
+	// Options fans the (topology, seed) shards out, as in Fig89Config.
+	runner.Options
 }
 
 // DefaultFaults returns the standard chaos-sweep configuration.
@@ -98,6 +97,13 @@ type FaultsRecoveryPoint struct {
 type FaultsResult struct {
 	Loss     []FaultsLossPoint
 	Recovery []FaultsRecoveryPoint
+}
+
+// faultsLossKey identifies one (topology, loss rate, repair mode) cell.
+type faultsLossKey struct {
+	topo   string
+	loss   float64
+	repair bool
 }
 
 // faultsLossObs is one shard's observation for one (loss, repair) run.
@@ -286,43 +292,25 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 	if cfg.Topologies == nil {
 		cfg.Topologies = Fig89Topologies()
 	}
-	type lossKey struct {
-		topo   string
-		loss   float64
-		repair bool
-	}
-	lossCells := make(map[lossKey]*FaultsLossPoint)
-	lossCell := func(topo string, loss float64, repair bool) *FaultsLossPoint {
-		k := lossKey{topo, loss, repair}
-		p := lossCells[k]
-		if p == nil {
-			p = &FaultsLossPoint{Topology: topo, Loss: loss, Repair: repair,
-				Stranded: &stats.Sample{}, Undelivered: &stats.Sample{},
-				CtrlDrops: &stats.Sample{}, Recoveries: &stats.Sample{}}
-			lossCells[k] = p
-		}
-		return p
-	}
-	recCells := make(map[string]*FaultsRecoveryPoint)
-
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) faultsShard {
-		return runFaultsShard(cfg, cfg.Topologies[j/cfg.Seeds], j%cfg.Seeds)
+	lossCells := newCells(func(k faultsLossKey) FaultsLossPoint {
+		return FaultsLossPoint{Topology: k.topo, Loss: k.loss, Repair: k.repair,
+			Stranded: &stats.Sample{}, Undelivered: &stats.Sample{},
+			CtrlDrops: &stats.Sample{}, Recoveries: &stats.Sample{}}
 	})
-	for j, sh := range shards {
-		topo := cfg.Topologies[j/cfg.Seeds]
+	recCells := newCells(func(topo string) FaultsRecoveryPoint {
+		return FaultsRecoveryPoint{Topology: topo, Recovery: &stats.Sample{}}
+	})
+	fanOut(cfg.Options, cfg.Topologies, cfg.Seeds, func(topo string, seed int) faultsShard {
+		return runFaultsShard(cfg, topo, seed)
+	}, func(topo string, sh faultsShard) {
 		for _, o := range sh.loss {
-			c := lossCell(topo, o.loss, o.repair)
+			c := lossCells.at(faultsLossKey{topo, o.loss, o.repair})
 			c.Stranded.Add(float64(o.stranded))
 			c.Undelivered.Add(float64(o.undelivered))
 			c.CtrlDrops.Add(float64(o.ctrlDrops))
 			c.Recoveries.Add(float64(o.recoveries))
 		}
-		rc := recCells[topo]
-		if rc == nil {
-			rc = &FaultsRecoveryPoint{Topology: topo, Recovery: &stats.Sample{}}
-			recCells[topo] = rc
-		}
+		rc := recCells.at(topo)
 		rc.Runs++
 		if sh.recovery.repaired {
 			rc.Recovery.Add(sh.recovery.recovery)
@@ -330,27 +318,22 @@ func RunFaults(cfg FaultsConfig) FaultsResult {
 		if sh.recovery.healed {
 			rc.Healed++
 		}
-	}
+	})
 
-	res := FaultsResult{}
-	for _, p := range lossCells {
-		res.Loss = append(res.Loss, *p)
-	}
+	res := FaultsResult{Loss: lossCells.points, Recovery: recCells.points}
+	topos := Fig89Topologies()
 	sort.Slice(res.Loss, func(i, j int) bool {
 		a, b := res.Loss[i], res.Loss[j]
 		if a.Topology != b.Topology {
-			return topoRank(a.Topology) < topoRank(b.Topology)
+			return rank(topos, a.Topology) < rank(topos, b.Topology)
 		}
 		if a.Loss != b.Loss {
 			return a.Loss < b.Loss
 		}
 		return a.Repair && !b.Repair
 	})
-	for _, p := range recCells {
-		res.Recovery = append(res.Recovery, *p)
-	}
 	sort.Slice(res.Recovery, func(i, j int) bool {
-		return topoRank(res.Recovery[i].Topology) < topoRank(res.Recovery[j].Topology)
+		return rank(topos, res.Recovery[i].Topology) < rank(topos, res.Recovery[j].Topology)
 	})
 	return res
 }
@@ -398,34 +381,30 @@ func WriteFaults(w io.Writer, res FaultsResult) {
 // WriteFaultsCSV renders both studies as two CSV tables separated by a
 // blank line.
 func WriteFaultsCSV(w io.Writer, res FaultsResult) error {
-	rows := make([][]string, 0, len(res.Loss))
-	for _, p := range res.Loss {
-		rows = append(rows, []string{
-			p.Topology, f(p.Loss), onOff(p.Repair),
-			f(p.Stranded.Mean()), f(p.Stranded.CI95()),
-			f(p.Undelivered.Mean()), f(p.Undelivered.CI95()),
-			f(p.CtrlDrops.Mean()), f(p.Recoveries.Mean()),
-		})
-	}
 	if err := writeCSV(w, []string{
 		"topology", "loss", "repair",
 		"stranded_mean", "stranded_ci95",
 		"undelivered_mean", "undelivered_ci95",
 		"ctrl_drops_mean", "recoveries_mean",
-	}, rows); err != nil {
+	}, res.Loss, func(p FaultsLossPoint) []string {
+		return []string{
+			p.Topology, f(p.Loss), onOff(p.Repair),
+			f(p.Stranded.Mean()), f(p.Stranded.CI95()),
+			f(p.Undelivered.Mean()), f(p.Undelivered.CI95()),
+			f(p.CtrlDrops.Mean()), f(p.Recoveries.Mean()),
+		}
+	}); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	rows = rows[:0]
-	for _, p := range res.Recovery {
-		rows = append(rows, []string{
-			p.Topology, f(p.Recovery.Mean()), f(p.Recovery.Max()),
-			fmt.Sprint(p.Healed), fmt.Sprint(p.Runs),
-		})
-	}
 	return writeCSV(w, []string{
 		"topology", "recovery_mean", "recovery_max", "healed", "runs",
-	}, rows)
+	}, res.Recovery, func(p FaultsRecoveryPoint) []string {
+		return []string{
+			p.Topology, f(p.Recovery.Mean()), f(p.Recovery.Max()),
+			fmt.Sprint(p.Healed), fmt.Sprint(p.Runs),
+		}
+	})
 }

@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"testing"
+
+	"scmp/internal/runner"
 )
 
 // The issue's acceptance criterion, run through the public harness:
@@ -15,7 +17,7 @@ func TestFaultsSweepAcceptance(t *testing.T) {
 		Topologies: []string{TopoArpanet},
 		LossRates:  []float64{0, 0.05},
 		GroupSize:  8, Seeds: 4, SimTime: 10, DataRate: 1,
-		Parallel: 1,
+		Options: runner.Options{Parallel: 1},
 	}
 	res := RunFaults(cfg)
 	bareStranded := 0.0
@@ -49,7 +51,7 @@ func TestFaultsRerunIsByteIdentical(t *testing.T) {
 		Topologies: []string{TopoArpanet},
 		LossRates:  []float64{0.05},
 		GroupSize:  6, Seeds: 2, SimTime: 8, DataRate: 1,
-		Parallel: 1,
+		Options: runner.Options{Parallel: 1},
 	}
 	render := func() []byte {
 		var buf bytes.Buffer

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"scmp/internal/rng"
@@ -22,13 +21,9 @@ type Fig7Config struct {
 	Beta       float64 // paper: 0.2
 	GroupSizes []int   // paper: 10..90 step 10
 	Seeds      int     // paper: 10
-	// Parallel bounds the worker goroutines fanning the per-seed shards
-	// out: 0 means GOMAXPROCS, 1 the pure serial path. Results are
-	// byte-identical either way.
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the per-seed shards out; results are byte-identical
+	// at any width.
+	runner.Options
 }
 
 // DefaultFig7 returns the paper's configuration.
@@ -51,6 +46,14 @@ var ConstraintLevels = []struct {
 	{"loosest", math.Inf(1)},
 }
 
+func levelNames() []string {
+	names := make([]string, len(ConstraintLevels))
+	for i, lvl := range ConstraintLevels {
+		names[i] = lvl.Name
+	}
+	return names
+}
+
 // Fig7Point is one (level, group size, algorithm) cell: tree delay and
 // tree cost sampled across seeds.
 type Fig7Point struct {
@@ -61,11 +64,16 @@ type Fig7Point struct {
 	TreeCost  *stats.Sample
 }
 
-// fig7Obs is one shard observation: one algorithm's tree quality at one
-// (level, size) cell, emitted in deterministic shard order.
-type fig7Obs struct {
+// fig7Key identifies one (level, size, algorithm) cell.
+type fig7Key struct {
 	level, algo string
 	size        int
+}
+
+// fig7Obs is one shard observation: one algorithm's tree quality at one
+// cell, emitted in deterministic shard order.
+type fig7Obs struct {
+	fig7Key
 	delay, cost float64
 }
 
@@ -95,9 +103,9 @@ func runFig7Shard(cfg Fig7Config, seed int) []fig7Obs {
 				d.Join(m)
 			}
 			out = append(out,
-				fig7Obs{lvl.Name, "DCDM", size, d.Tree().TreeDelay(), d.Tree().Cost()},
-				fig7Obs{lvl.Name, "KMB", size, kmb.TreeDelay(), kmb.Cost()},
-				fig7Obs{lvl.Name, "SPT", size, spt.TreeDelay(), spt.Cost()})
+				fig7Obs{fig7Key{lvl.Name, "DCDM", size}, d.Tree().TreeDelay(), d.Tree().Cost()},
+				fig7Obs{fig7Key{lvl.Name, "KMB", size}, kmb.TreeDelay(), kmb.Cost()},
+				fig7Obs{fig7Key{lvl.Name, "SPT", size}, spt.TreeDelay(), spt.Cost()})
 		}
 	}
 	return out
@@ -107,40 +115,25 @@ func runFig7Shard(cfg Fig7Config, seed int) []fig7Obs {
 // group size, algorithm. Per-seed shards fan out over runner.Map and
 // merge in seed order, so the aggregate matches a serial run exactly.
 func RunFig7(cfg Fig7Config) []Fig7Point {
-	type key struct {
-		level, algo string
-		size        int
-	}
-	cells := make(map[key]*Fig7Point)
-	cell := func(level, algo string, size int) *Fig7Point {
-		k := key{level, algo, size}
-		p := cells[k]
-		if p == nil {
-			p = &Fig7Point{Level: level, GroupSize: size, Algorithm: algo,
-				TreeDelay: &stats.Sample{}, TreeCost: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []fig7Obs {
-		return runFig7Shard(cfg, seed)
+	cs := newCells(func(k fig7Key) Fig7Point {
+		return Fig7Point{Level: k.level, GroupSize: k.size, Algorithm: k.algo,
+			TreeDelay: &stats.Sample{}, TreeCost: &stats.Sample{}}
 	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			c := cell(o.level, o.algo, o.size)
-			c.TreeDelay.Add(o.delay)
-			c.TreeCost.Add(o.cost)
-		}
-	}
-	out := make([]Fig7Point, 0, len(cells))
-	for _, p := range cells {
-		out = append(out, *p)
-	}
+	fanOut(cfg.Options, seedsOnly, cfg.Seeds,
+		func(_ string, seed int) []fig7Obs { return runFig7Shard(cfg, seed) },
+		func(_ string, obs []fig7Obs) {
+			for _, o := range obs {
+				c := cs.at(o.fig7Key)
+				c.TreeDelay.Add(o.delay)
+				c.TreeCost.Add(o.cost)
+			}
+		})
+	out := cs.points
+	levels := levelNames()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Level != b.Level {
-			return levelRank(a.Level) < levelRank(b.Level)
+			return rank(levels, a.Level) < rank(levels, b.Level)
 		}
 		if a.GroupSize != b.GroupSize {
 			return a.GroupSize < b.GroupSize
@@ -150,60 +143,20 @@ func RunFig7(cfg Fig7Config) []Fig7Point {
 	return out
 }
 
-func levelRank(level string) int {
-	for i, lvl := range ConstraintLevels {
-		if lvl.Name == level {
-			return i
-		}
-	}
-	return len(ConstraintLevels)
-}
-
 // WriteFig7 prints the sweep as paper-style panels: Fig. 7(a-c) tree
 // delay and Fig. 7(d-f) tree cost, one row per group size, one column
-// per algorithm.
+// per algorithm. A level with no points prints no panel.
 func WriteFig7(w io.Writer, points []Fig7Point) {
-	metrics := []struct {
+	for _, m := range []struct {
 		title string
 		pick  func(Fig7Point) *stats.Sample
 	}{
 		{"Tree delay", func(p Fig7Point) *stats.Sample { return p.TreeDelay }},
 		{"Tree cost", func(p Fig7Point) *stats.Sample { return p.TreeCost }},
-	}
-	for _, m := range metrics {
-		for _, lvl := range ConstraintLevels {
-			fmt.Fprintf(w, "\n%s — delay constraint %s\n", m.title, lvl.Name)
-			fmt.Fprintf(w, "%-10s %14s %14s %14s\n", "groupsize", "DCDM", "KMB", "SPT")
-			bySize := map[int]map[string]*stats.Sample{}
-			for _, p := range points {
-				if p.Level != lvl.Name {
-					continue
-				}
-				if bySize[p.GroupSize] == nil {
-					bySize[p.GroupSize] = map[string]*stats.Sample{}
-				}
-				bySize[p.GroupSize][p.Algorithm] = m.pick(p)
-			}
-			sizes := make([]int, 0, len(bySize))
-			for s := range bySize {
-				sizes = append(sizes, s)
-			}
-			sort.Ints(sizes)
-			for _, s := range sizes {
-				row := bySize[s]
-				fmt.Fprintf(w, "%-10d", s)
-				// A filtered or partial point slice may miss cells; print
-				// a placeholder instead of dereferencing nil, exactly
-				// like writeFig89Metric.
-				for _, algo := range []string{"DCDM", "KMB", "SPT"} {
-					if sm := row[algo]; sm != nil {
-						fmt.Fprintf(w, " %14.0f", sm.Mean())
-					} else {
-						fmt.Fprintf(w, " %14s", "-")
-					}
-				}
-				fmt.Fprintln(w)
-			}
-		}
+	} {
+		writePanels(w, m.title+" — delay constraint", levelNames(), []string{"DCDM", "KMB", "SPT"}, "%14.0f", points,
+			func(p Fig7Point) (string, int, string, *stats.Sample) {
+				return p.Level, p.GroupSize, p.Algorithm, m.pick(p)
+			})
 	}
 }

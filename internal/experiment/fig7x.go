@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math"
 	"scmp/internal/rng"
 	"sort"
 
@@ -22,12 +21,8 @@ type Fig7xConfig struct {
 	GroupSize int // members per run (clamped to the topology size)
 	Seeds     int
 	Kappa     float64 // DCDM constraint (default 1.5, the moderate level)
-	// Parallel bounds the worker goroutines fanning the (family, seed)
-	// shards out: 0 means GOMAXPROCS, 1 the pure serial path.
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the (family, seed) shards out.
+	runner.Options
 }
 
 // DefaultFig7x returns a moderate configuration.
@@ -84,30 +79,22 @@ type Fig7xPoint struct {
 	DelayVsSPT *stats.Sample
 }
 
-// RunFig7x executes the sweep.
+// RunFig7x executes the sweep; points come family by family in
+// Fig7xFamilies order, DCDM, KMB, SPT within each.
 func RunFig7x(cfg Fig7xConfig) []Fig7xPoint {
 	if cfg.Kappa == 0 {
 		cfg.Kappa = 1.5
 	}
-	points := map[[2]string]*Fig7xPoint{}
-	cell := func(family, algo string) *Fig7xPoint {
-		k := [2]string{family, algo}
-		p := points[k]
-		if p == nil {
-			p = &Fig7xPoint{Family: family, Algorithm: algo,
-				CostVsSPT: &stats.Sample{}, DelayVsSPT: &stats.Sample{}}
-			points[k] = p
-		}
-		return p
-	}
+	type key struct{ family, algo string }
+	cs := newCells(func(k key) Fig7xPoint {
+		return Fig7xPoint{Family: k.family, Algorithm: k.algo,
+			CostVsSPT: &stats.Sample{}, DelayVsSPT: &stats.Sample{}}
+	})
 	type fig7xObs struct {
 		algo        string
 		cost, delay float64 // relative to SPT on the same instance
 	}
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(Fig7xFamilies)*cfg.Seeds, func(j int) []fig7xObs {
-		family := Fig7xFamilies[j/cfg.Seeds]
-		seed := j % cfg.Seeds
+	fanOut(cfg.Options, Fig7xFamilies, cfg.Seeds, func(family string, seed int) []fig7xObs {
 		art := familyArtifactFor(family, int64(seed))
 		g, spDelay, spCost := art.g, art.spDelay, art.spCost
 		size := cfg.GroupSize
@@ -132,24 +119,14 @@ func RunFig7x(cfg Fig7xConfig) []Fig7xPoint {
 			{"KMB", kmb.Cost() / baseCost, kmb.TreeDelay() / baseDelay},
 			{"SPT", 1, 1},
 		}
-	})
-	for j, shard := range shards {
-		family := Fig7xFamilies[j/cfg.Seeds]
-		for _, o := range shard {
-			p := cell(family, o.algo)
+	}, func(family string, obs []fig7xObs) {
+		for _, o := range obs {
+			p := cs.at(key{family, o.algo})
 			p.CostVsSPT.Add(o.cost)
 			p.DelayVsSPT.Add(o.delay)
 		}
-	}
-	out := make([]Fig7xPoint, 0, len(points))
-	for _, family := range Fig7xFamilies {
-		for _, algo := range []string{"DCDM", "KMB", "SPT"} {
-			if p, ok := points[[2]string{family, algo}]; ok {
-				out = append(out, *p)
-			}
-		}
-	}
-	return out
+	})
+	return cs.points
 }
 
 // WriteFig7x prints the study: cost and delay relative to SPT (=1.00)
@@ -160,7 +137,7 @@ func WriteFig7x(w io.Writer, points []Fig7xPoint) {
 	sorted := append([]Fig7xPoint(nil), points...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].Family != sorted[j].Family {
-			return familyRank(sorted[i].Family) < familyRank(sorted[j].Family)
+			return rank(Fig7xFamilies, sorted[i].Family) < rank(Fig7xFamilies, sorted[j].Family)
 		}
 		return sorted[i].Algorithm < sorted[j].Algorithm
 	})
@@ -168,13 +145,4 @@ func WriteFig7x(w io.Writer, points []Fig7xPoint) {
 		fmt.Fprintf(w, "%-16s %-6s %14.3f %14.3f\n",
 			p.Family, p.Algorithm, p.CostVsSPT.Mean(), p.DelayVsSPT.Mean())
 	}
-}
-
-func familyRank(f string) int {
-	for i, name := range Fig7xFamilies {
-		if name == f {
-			return i
-		}
-	}
-	return math.MaxInt32
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
 	"scmp/internal/rng"
 	"sort"
@@ -32,13 +31,9 @@ type Fig89Config struct {
 	DataRate      float64  // paper: 1 packet/s
 	PruneLifetime des.Time // DVMRP prune timeout
 	Topologies    []string // defaults to Fig89Topologies()
-	// Parallel bounds the worker goroutines fanning the (topology, seed)
-	// shards out: 0 means GOMAXPROCS, 1 the pure serial path. Results
-	// are byte-identical either way (shards merge in canonical order).
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the (topology, seed) shards out; results are
+	// byte-identical at any width (shards merge in canonical order).
+	runner.Options
 }
 
 // DefaultFig89 returns the paper's configuration.
@@ -203,131 +198,56 @@ func RunFig89(cfg Fig89Config) []Fig89Point {
 		topo, proto string
 		size        int
 	}
-	cells := make(map[key]*Fig89Point)
-	cell := func(topo, proto string, size int) *Fig89Point {
-		k := key{topo, proto, size}
-		p := cells[k]
-		if p == nil {
-			p = &Fig89Point{Topology: topo, GroupSize: size, Protocol: proto,
-				DataOverhead: &stats.Sample{}, ProtoOverhead: &stats.Sample{}, MaxE2E: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, len(cfg.Topologies)*cfg.Seeds, func(j int) []fig89Obs {
-		return runFig89Shard(cfg, cfg.Topologies[j/cfg.Seeds], j%cfg.Seeds)
+	cs := newCells(func(k key) Fig89Point {
+		return Fig89Point{Topology: k.topo, GroupSize: k.size, Protocol: k.proto,
+			DataOverhead: &stats.Sample{}, ProtoOverhead: &stats.Sample{}, MaxE2E: &stats.Sample{}}
 	})
-	for j, shard := range shards {
-		topo := cfg.Topologies[j/cfg.Seeds]
-		for _, o := range shard {
-			c := cell(topo, o.proto, o.size)
-			c.DataOverhead.Add(o.data)
-			c.ProtoOverhead.Add(o.protoOv)
-			c.MaxE2E.Add(o.maxE2E)
-			c.Undelivered += o.undelivered
-		}
-	}
-	out := make([]Fig89Point, 0, len(cells))
-	for _, p := range cells {
-		out = append(out, *p)
-	}
+	fanOut(cfg.Options, cfg.Topologies, cfg.Seeds,
+		func(topo string, seed int) []fig89Obs { return runFig89Shard(cfg, topo, seed) },
+		func(topo string, obs []fig89Obs) {
+			for _, o := range obs {
+				c := cs.at(key{topo, o.proto, o.size})
+				c.DataOverhead.Add(o.data)
+				c.ProtoOverhead.Add(o.protoOv)
+				c.MaxE2E.Add(o.maxE2E)
+				c.Undelivered += o.undelivered
+			}
+		})
+	out := cs.points
+	topos := Fig89Topologies()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Topology != b.Topology {
-			return topoRank(a.Topology) < topoRank(b.Topology)
+			return rank(topos, a.Topology) < rank(topos, b.Topology)
 		}
 		if a.GroupSize != b.GroupSize {
 			return a.GroupSize < b.GroupSize
 		}
-		return protoRank(a.Protocol) < protoRank(b.Protocol)
+		return rank(Protocols, a.Protocol) < rank(Protocols, b.Protocol)
 	})
 	return out
 }
 
-func topoRank(t string) int {
-	for i, name := range Fig89Topologies() {
-		if name == t {
-			return i
-		}
-	}
-	return 99
-}
-
-func protoRank(p string) int {
-	for i, name := range Protocols {
-		if name == p {
-			return i
-		}
-	}
-	return 99
-}
-
-// metricPick selects which metric a writer prints and how to format it.
-type metricPick struct {
-	title  string
-	format string
-	pick   func(Fig89Point) *stats.Sample
-}
-
-func writeFig89Metric(w io.Writer, points []Fig89Point, m metricPick) {
-	for _, topo := range Fig89Topologies() {
-		any := false
-		for _, p := range points {
-			if p.Topology == topo {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprintf(w, "\n%s — %s\n", m.title, topo)
-		fmt.Fprintf(w, "%-10s", "groupsize")
-		for _, proto := range Protocols {
-			fmt.Fprintf(w, " %14s", proto)
-		}
-		fmt.Fprintln(w)
-		bySize := map[int]map[string]*stats.Sample{}
-		for _, p := range points {
-			if p.Topology != topo {
-				continue
-			}
-			if bySize[p.GroupSize] == nil {
-				bySize[p.GroupSize] = map[string]*stats.Sample{}
-			}
-			bySize[p.GroupSize][p.Protocol] = m.pick(p)
-		}
-		sizes := make([]int, 0, len(bySize))
-		for s := range bySize {
-			sizes = append(sizes, s)
-		}
-		sort.Ints(sizes)
-		for _, s := range sizes {
-			fmt.Fprintf(w, "%-10d", s)
-			for _, proto := range Protocols {
-				if sm := bySize[s][proto]; sm != nil {
-					fmt.Fprintf(w, " "+m.format, sm.Mean())
-				} else {
-					fmt.Fprintf(w, " %14s", "-")
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
+// writeFig89Metric prints one metric's per-topology panels; a topology
+// with no points prints no panel.
+func writeFig89Metric(w io.Writer, points []Fig89Point, title, format string, pick func(Fig89Point) *stats.Sample) {
+	writePanels(w, title+" —", Fig89Topologies(), Protocols, format, points,
+		func(p Fig89Point) (string, int, string, *stats.Sample) {
+			return p.Topology, p.GroupSize, p.Protocol, pick(p)
+		})
 }
 
 // WriteFig8 prints the data-overhead panels (Fig. 8 a–c) and the
 // protocol-overhead panels (Fig. 8 d–f).
 func WriteFig8(w io.Writer, points []Fig89Point) {
-	writeFig89Metric(w, points, metricPick{"Data overhead (link-cost units)", "%14.1f",
-		func(p Fig89Point) *stats.Sample { return p.DataOverhead }})
-	writeFig89Metric(w, points, metricPick{"Protocol overhead (link-cost units)", "%14.1f",
-		func(p Fig89Point) *stats.Sample { return p.ProtoOverhead }})
+	writeFig89Metric(w, points, "Data overhead (link-cost units)", "%14.1f",
+		func(p Fig89Point) *stats.Sample { return p.DataOverhead })
+	writeFig89Metric(w, points, "Protocol overhead (link-cost units)", "%14.1f",
+		func(p Fig89Point) *stats.Sample { return p.ProtoOverhead })
 }
 
 // WriteFig9 prints the maximum end-to-end delay panels (Fig. 9 a–c).
 func WriteFig9(w io.Writer, points []Fig89Point) {
-	writeFig89Metric(w, points, metricPick{"Maximum end-to-end delay (s)", "%14.4f",
-		func(p Fig89Point) *stats.Sample { return p.MaxE2E }})
+	writeFig89Metric(w, points, "Maximum end-to-end delay (s)", "%14.4f",
+		func(p Fig89Point) *stats.Sample { return p.MaxE2E })
 }

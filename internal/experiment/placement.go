@@ -28,12 +28,8 @@ type PlacementConfig struct {
 	Seeds     int     // topologies
 	Trials    int     // member sets per topology
 	Kappa     float64 // DCDM constraint (default 1.5)
-	// Parallel bounds the worker goroutines fanning the per-seed shards
-	// out: 0 means GOMAXPROCS, 1 the pure serial path.
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the per-seed shards out.
+	runner.Options
 }
 
 // DefaultPlacement returns a paper-scale configuration.
@@ -82,16 +78,17 @@ func RunPlacement(cfg PlacementConfig) []PlacementPoint {
 	if cfg.Kappa == 0 {
 		cfg.Kappa = 1.5
 	}
-	points := make(map[string]*PlacementPoint)
+	cs := newCells(func(rule string) PlacementPoint {
+		return PlacementPoint{Rule: rule, TreeCost: &stats.Sample{}, TreeDelay: &stats.Sample{}}
+	})
 	for _, rule := range PlacementRules {
-		points[rule] = &PlacementPoint{Rule: rule, TreeCost: &stats.Sample{}, TreeDelay: &stats.Sample{}}
+		cs.at(rule) // one point per rule, in rule order
 	}
 	type placementObs struct {
 		rule        string
 		cost, delay float64
 	}
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []placementObs {
+	fanOut(cfg.Options, seedsOnly, cfg.Seeds, func(_ string, seed int) []placementObs {
 		// The workload stream (random placement + member sets) is
 		// derived from the seed independently of the cached topology
 		// build, so a cache hit cannot shift later draws.
@@ -118,18 +115,14 @@ func RunPlacement(cfg PlacementConfig) []PlacementPoint {
 			}
 		}
 		return out
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			points[o.rule].TreeCost.Add(o.cost)
-			points[o.rule].TreeDelay.Add(o.delay)
+	}, func(_ string, obs []placementObs) {
+		for _, o := range obs {
+			p := cs.at(o.rule)
+			p.TreeCost.Add(o.cost)
+			p.TreeDelay.Add(o.delay)
 		}
-	}
-	out := make([]PlacementPoint, 0, len(points))
-	for _, rule := range PlacementRules {
-		out = append(out, *points[rule])
-	}
-	return out
+	})
+	return cs.points
 }
 
 // WritePlacement prints the study as one row per rule.

@@ -26,12 +26,8 @@ type StateConfig struct {
 	Senders    int   // distinct senders per group
 	PacketsPer int   // packets each sender sends (instantiates state)
 	Seeds      int
-	// Parallel bounds the worker goroutines fanning the per-seed shards
-	// out: 0 means GOMAXPROCS, 1 the pure serial path.
-	Parallel int
-	// Progress, when set, observes shard completions (called
-	// concurrently when Parallel > 1).
-	Progress func(done, total int)
+	// Options fans the per-seed shards out.
+	runner.Options
 }
 
 // DefaultState returns a 50-router configuration.
@@ -63,24 +59,15 @@ func RunState(cfg StateConfig) []StatePoint {
 		groups int
 		proto  string
 	}
-	cells := map[key]*StatePoint{}
-	cell := func(groups int, proto string) *StatePoint {
-		k := key{groups, proto}
-		p := cells[k]
-		if p == nil {
-			p = &StatePoint{Groups: groups, Protocol: proto,
-				MaxState: &stats.Sample{}, SumState: &stats.Sample{}}
-			cells[k] = p
-		}
-		return p
-	}
+	cs := newCells(func(k key) StatePoint {
+		return StatePoint{Groups: k.groups, Protocol: k.proto,
+			MaxState: &stats.Sample{}, SumState: &stats.Sample{}}
+	})
 	type stateObs struct {
-		groups        int
-		proto         string
+		key
 		maxState, sum float64
 	}
-	opts := runner.Options{Parallel: cfg.Parallel, Progress: cfg.Progress}
-	shards := runner.Map(opts, cfg.Seeds, func(seed int) []stateObs {
+	fanOut(cfg.Options, seedsOnly, cfg.Seeds, func(_ string, seed int) []stateObs {
 		art := randomArtifactFor(cfg.Nodes, cfg.Degree, int64(seed))
 		g, center := art.g, art.centers[0]
 		var obs []stateObs
@@ -124,27 +111,23 @@ func RunState(cfg StateConfig) []StatePoint {
 						maxState = st
 					}
 				}
-				obs = append(obs, stateObs{groups, protoName, float64(maxState), float64(sum)})
+				obs = append(obs, stateObs{key{groups, protoName}, float64(maxState), float64(sum)})
 			}
 		}
 		return obs
-	})
-	for _, shard := range shards {
-		for _, o := range shard {
-			c := cell(o.groups, o.proto)
+	}, func(_ string, obs []stateObs) {
+		for _, o := range obs {
+			c := cs.at(o.key)
 			c.MaxState.Add(o.maxState)
 			c.SumState.Add(o.sum)
 		}
-	}
-	out := make([]StatePoint, 0, len(cells))
-	for _, p := range cells {
-		out = append(out, *p)
-	}
+	})
+	out := cs.points
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Groups != out[j].Groups {
 			return out[i].Groups < out[j].Groups
 		}
-		return protoRank(out[i].Protocol) < protoRank(out[j].Protocol)
+		return rank(Protocols, out[i].Protocol) < rank(Protocols, out[j].Protocol)
 	})
 	return out
 }

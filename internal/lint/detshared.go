@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -29,6 +30,12 @@ import (
 // assign package-level variables, and a worker calling such a function
 // is reported at the call site. Dynamic dispatch and std-lib internals
 // are documented false negatives (DESIGN.md §11).
+//
+// Workers are also found through helpers that wrap runner.Map: the
+// Facts phase records which function parameters a function hands to a
+// worker (mentions inside a worker literal, or passes on to another
+// such position), and a function literal passed at one of those
+// positions is checked as a worker.
 var DetShared = &Analyzer{
 	Name:  "detshared",
 	Doc:   "flags runner.Map worker closures that write shared or captured state instead of returning values",
@@ -36,9 +43,11 @@ var DetShared = &Analyzer{
 	Run:   runDetShared,
 }
 
-// detsharedFact marks a function that writes package-level state,
-// directly or transitively.
-type detsharedFact struct{}
+// detsharedFact summarises a function for its callers.
+type detsharedFact struct {
+	writesGlobal bool  // writes package-level state, directly or transitively
+	workerParams []int // parameter positions that run as runner.Map workers
+}
 
 func runDetSharedFacts(p *Pass) {
 	funcs := packageFuncs(p)
@@ -79,7 +88,7 @@ func runDetSharedFacts(p *Pass) {
 					}
 					continue
 				}
-				if _, ok := p.FactOf(callee).(detsharedFact); ok {
+				if f, ok := p.FactOf(callee).(detsharedFact); ok && f.writesGlobal {
 					writes[obj] = true
 					changed = true
 					break
@@ -87,22 +96,99 @@ func runDetSharedFacts(p *Pass) {
 			}
 		}
 	}
-	for obj, w := range writes {
-		if w {
-			p.ExportFact(obj, detsharedFact{})
+	forwards := make(map[*types.Func][]int)
+	for changed := true; changed; {
+		changed = false
+		for _, fi := range funcs {
+			if fi.obj == nil {
+				continue
+			}
+			if idx := forwardedParams(p, fi, forwards); len(idx) != len(forwards[fi.obj]) {
+				forwards[fi.obj] = idx
+				changed = true
+			}
 		}
 	}
+	for _, fi := range funcs {
+		if f := (detsharedFact{writes[fi.obj], forwards[fi.obj]}); f.writesGlobal || len(f.workerParams) > 0 {
+			p.ExportFact(fi.obj, f)
+		}
+	}
+}
+
+// forwardedParams returns the positions of fi's function-typed
+// parameters that reach a worker position of a call in its body. local
+// holds the same package's results so far.
+func forwardedParams(p *Pass, fi funcInfo, local map[*types.Func][]int) []int {
+	params := fi.obj.Type().(*types.Signature).Params()
+	pos := make(map[types.Object]int, params.Len())
+	for i := 0; i < params.Len(); i++ {
+		if _, isFunc := params.At(i).Type().Underlying().(*types.Signature); isFunc {
+			pos[params.At(i)] = i
+		}
+	}
+	var out []int
+	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		for _, a := range workerArgs(p, call, local) {
+			ast.Inspect(call.Args[a], func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok {
+					if i, ok := pos[p.Info.Uses[id]]; ok && !slices.Contains(out, i) {
+						out = append(out, i)
+					}
+				}
+				return true
+			})
+		}
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
+
+// workerArgs returns the argument positions of call that run as
+// runner.Map workers: Map's job function, or a forwarding helper's
+// worker parameters (from local, else from the callee's fact).
+func workerArgs(p *Pass, call *ast.CallExpr, local map[*types.Func][]int) []int {
+	if isRunnerMapCall(p, call) {
+		if len(call.Args) == 0 {
+			return nil
+		}
+		return []int{len(call.Args) - 1}
+	}
+	callee := staticCallee(p.Info, call)
+	if callee == nil {
+		return nil
+	}
+	callee = callee.Origin()
+	idx, ok := local[callee]
+	if !ok {
+		f, _ := p.FactOf(callee).(detsharedFact)
+		idx = f.workerParams
+	}
+	var out []int
+	for _, i := range idx {
+		if i < len(call.Args) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func runDetShared(p *Pass) {
 	for _, fi := range packageFuncs(p) {
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isRunnerMapCall(p, call) || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
-			if job, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
-				checkWorker(p, job)
+			for _, a := range workerArgs(p, call, nil) {
+				if job, ok := call.Args[a].(*ast.FuncLit); ok {
+					checkWorker(p, job)
+				}
 			}
 			return true
 		})
@@ -125,7 +211,7 @@ func checkWorker(p *Pass, job *ast.FuncLit) {
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			if callee := staticCallee(p.Info, call); callee != nil {
-				if _, ok := p.FactOf(callee).(detsharedFact); ok {
+				if f, ok := p.FactOf(callee).(detsharedFact); ok && f.writesGlobal {
 					p.Reportf(call.Pos(), "worker calls %s, which writes package-level state; workers must communicate through their return value", callee.FullName())
 				}
 			}

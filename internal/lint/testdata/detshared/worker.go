@@ -75,3 +75,33 @@ func sequentialClean(rows []float64) {
 		rows[i] = 1
 	}
 }
+
+// A helper that runs a parameter inside a runner.Map worker forwards
+// the worker contract: a literal passed in that position is a worker
+// too, through any chain of such helpers and through generic
+// instantiation. The helper's other function parameters (a merge step
+// run serially by the caller's goroutine) stay ordinary code.
+func fan[T any](opts runner.Options, n int, shard func(int) T, merge func(T)) {
+	for _, r := range runner.Map(opts, n, func(i int) T { return shard(i) }) {
+		merge(r)
+	}
+}
+
+func fanTwice(opts runner.Options, job func(int) int) {
+	fan(opts, 2, job, func(int) {})
+}
+
+func forwardedWrites(opts runner.Options) int {
+	total := 0
+	fan(opts, 4, func(i int) int {
+		total++ // want "worker writes captured total"
+		return i
+	}, func(r int) {
+		total += r // the merge step: clean
+	})
+	fanTwice(opts, func(i int) int {
+		global = i // want "worker writes package-level global"
+		return i
+	})
+	return total
+}

@@ -400,6 +400,9 @@ func (st *state) execProtocol(c command) error {
 		if err != nil {
 			return err
 		}
+		if coreNode < 0 || coreNode >= g.N() {
+			return fmt.Errorf("line %d: cbt: core %d out of range", c.line, coreNode)
+		}
 		proto = cbt.New(topology.NodeID(coreNode))
 	default:
 		return fmt.Errorf("line %d: unknown protocol %q", c.line, c.args[0])

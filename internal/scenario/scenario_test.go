@@ -288,15 +288,18 @@ expect delivered
 }
 
 // TestSCMPConfigErrorsAreLineErrors: an SCMP configuration core.New
-// would panic on comes back as a line-numbered error instead.
+// would panic on, or a CBT core cbt's Attach would panic on, comes back
+// as a line-numbered error instead.
 func TestSCMPConfigErrorsAreLineErrors(t *testing.T) {
 	cases := []struct{ knobs, want string }{
-		{"mrouter=99", "m-router 99 out of range"},
-		{"mrouter=3 standby=3", "standby must differ from the primary m-router"},
-		{"kappa=0.5", "Kappa 0.5 < 1"},
+		{"scmp mrouter=99", "m-router 99 out of range"},
+		{"scmp mrouter=3 standby=3", "standby must differ from the primary m-router"},
+		{"scmp kappa=0.5", "Kappa 0.5 < 1"},
+		{"cbt core=99", "cbt: core 99 out of range"},
+		{"cbt core=-1", "cbt: core -1 out of range"},
 	}
 	for _, tc := range cases {
-		src := "topology arpanet\nprotocol scmp " + tc.knobs + "\nrun\n"
+		src := "topology arpanet\nprotocol " + tc.knobs + "\nrun\n"
 		err := parse(t, src).Run(&bytes.Buffer{})
 		if err == nil {
 			t.Errorf("%s: ran", tc.knobs)
